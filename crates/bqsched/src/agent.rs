@@ -9,7 +9,7 @@
 //! [`BqSchedConfig`] (see [`BqSchedConfig::lsched`]).
 
 use crate::clustering::{gains_from_history, GainPredictor, QueryClustering};
-use crate::masking::AdaptiveMask;
+use crate::masking::{AdaptiveMask, MASK_VALUE};
 use crate::simulator::{LearnedSimulator, SimulatorModel};
 use bq_core::{
     Action, EpisodeLog, ExecutionHistory, ExecutorBackend, QueryStatus, ScheduleSession,
@@ -144,6 +144,11 @@ pub struct BqObs {
     pub mask: Vec<f32>,
 }
 
+/// The largest policy-logit bound `B` under which [`BqSchedModel::infer_policy`]
+/// prunes fully masked entities: `|MASK_VALUE|` exceeds `2B` by a margin
+/// far past where `exp` underflows to zero.
+const MAX_PRUNED_LOGIT_BOUND: f32 = 1e6;
+
 /// The neural decision model: shared state representation plus policy, value
 /// and auxiliary heads.
 #[derive(Debug)]
@@ -247,11 +252,35 @@ impl BqSchedModel {
 
     /// Tape-free policy evaluation for the decision loop.
     ///
-    /// Returns the masked flat logits `[1, n·K]` and the state value. Bitwise
-    /// identical to [`ActorCritic::evaluate`] on the same observation: every
-    /// step runs the same tensor arithmetic, without recording a graph. When
-    /// `want_value` is false (greedy inference — the value is never read) the
-    /// value head is skipped and `0.0` returned.
+    /// Returns the masked flat logits `[1, n·K]` and the state value. No
+    /// graph is recorded. When `want_value` is false (greedy inference —
+    /// the value is never read) the value head is skipped and `0.0`
+    /// returned; otherwise the value is bitwise [`ActorCritic::evaluate`]'s.
+    ///
+    /// Adaptive masking closes every action of running and finished
+    /// entities, so their rows are not computed: an entity whose `K` mask
+    /// entries are all [`MASK_VALUE`] gets logit [`MASK_VALUE`] on each,
+    /// while every other entity's logits are bitwise those of
+    /// [`ActorCritic::evaluate`]. Under softmax a closed action gets
+    /// probability exactly `+0.0` either way, so the probability vector, the
+    /// argmax and any sampled action are bitwise the same as from the full
+    /// logits.
+    ///
+    /// That holds when a closed action's full logit `l + MASK_VALUE` lies so
+    /// far below every open logit that its `exp` underflows to `+0.0` and it
+    /// never sets the row maximum. The policy head's output layer reads tanh
+    /// units in `[-1, 1]`, so `|l| ≤ B = max_c(|b_c| + Σ_j |W_jc|)` for every
+    /// logit. Rows are pruned only when
+    /// - `B ≤ 1e6`, recomputed on every call from the live parameters (a
+    ///   closed logit then sits at least `1e8 - 2e6` below an open one);
+    /// - every mask entry is `0.0` or [`MASK_VALUE`], the two values
+    ///   [`AdaptiveMask::logit_mask`] writes;
+    /// - at least one entity is kept (with none, every probability comes
+    ///   from the closed logits themselves) and at least one is closed.
+    ///
+    /// Otherwise, and always in the `without_attention` ablation, every row
+    /// is computed and the whole logit vector equals the recorded pass bit
+    /// for bit.
     pub fn infer_policy(
         &self,
         store: &ParamStore,
@@ -259,25 +288,59 @@ impl BqSchedModel {
         cache: &StateEncoderInferCache,
         want_value: bool,
     ) -> (Tensor, f32) {
-        let (per_query, global) = if self.use_attention {
-            self.state_encoder.infer(store, &obs.encoded, cache)
+        let n = obs.encoded.len();
+        let k = self.num_configs;
+        assert_eq!(obs.mask.len(), n * k, "action mask length mismatch");
+        let (kept, per_query, global) = if self.use_attention {
+            let kept = self.pruned_rows(store, obs);
+            let (per_query, global) =
+                self.state_encoder
+                    .infer(store, &obs.encoded, cache, kept.as_deref());
+            (kept, per_query, global)
         } else {
             let x = obs.encoded.plan_embs.concat_cols(&obs.encoded.features);
             let per_query = self.plain_proj.infer(store, &x);
             let global = per_query.mean_pool_rows();
-            (per_query, global)
+            (None, per_query, global)
         };
-        let n = obs.encoded.len();
-        let per_entity_logits = self.policy_head.infer(store, &per_query); // [n, K]
-        let flat = Tensor::from_vec(1, n * self.num_configs, per_entity_logits.data().to_vec());
-        let mask = Tensor::from_vec(1, obs.mask.len(), obs.mask.clone());
-        let logits = flat.add(&mask);
+        let per_entity_logits = self.policy_head.infer(store, &per_query); // [rows, K]
+        let entities = kept.unwrap_or_else(|| (0..n).collect());
+        let mut flat = vec![MASK_VALUE; n * k];
+        for (&e, row) in entities
+            .iter()
+            .zip(per_entity_logits.data().chunks_exact(k))
+        {
+            let cols = e * k..(e + 1) * k;
+            for ((out, &l), &m) in flat[cols.clone()].iter_mut().zip(row).zip(&obs.mask[cols]) {
+                *out = l + m;
+            }
+        }
+        let logits = Tensor::from_vec(1, n * k, flat);
         let value = if want_value {
             self.value_head.infer(store, &global).item()
         } else {
             0.0
         };
         (logits, value)
+    }
+
+    /// The entities with an open action, in ascending order, when
+    /// [`Self::infer_policy`] may compute only those (see the conditions
+    /// there); `None` to compute every entity.
+    fn pruned_rows(&self, store: &ParamStore, obs: &BqObs) -> Option<Vec<usize>> {
+        let k = self.num_configs;
+        let mut kept = Vec::with_capacity(obs.encoded.len());
+        for (e, entries) in obs.mask.chunks_exact(k).enumerate() {
+            if entries.iter().any(|&m| m != 0.0 && m != MASK_VALUE) {
+                return None;
+            }
+            if entries.iter().any(|&m| m != MASK_VALUE) {
+                kept.push(e);
+            }
+        }
+        let bound = self.policy_head.output_layer().unit_input_bound(store);
+        let prunes = !kept.is_empty() && kept.len() < obs.encoded.len();
+        (prunes && bound <= MAX_PRUNED_LOGIT_BOUND).then_some(kept)
     }
 }
 
@@ -593,14 +656,15 @@ impl BqSchedAgent {
     }
 
     /// Evaluate the policy on an observation and pick an action (sampling
-    /// when exploring, argmax otherwise).
+    /// when exploring, argmax otherwise). Returns the action, its log
+    /// probability, the value estimate and the `[1, n·K]` probabilities.
     ///
-    /// Runs the tape-free [`BqSchedModel::infer_policy`] path — bitwise
-    /// identical logits to the recorded [`ActorCritic::evaluate`] pass the
-    /// trainers use, without building a graph per decision. The fused-weight
-    /// cache is rebuilt whenever the parameter-store version moved (training
-    /// update, checkpoint load).
-    fn decide(&mut self, obs: &BqObs) -> (usize, f32, f32, Vec<f32>) {
+    /// Runs the tape-free [`BqSchedModel::infer_policy`] path — bitwise the
+    /// same probabilities, and so the same action, as the recorded
+    /// [`ActorCritic::evaluate`] pass the trainers use, without building a
+    /// graph per decision. The fused-weight cache is rebuilt whenever the
+    /// parameter-store version moved (training update, checkpoint load).
+    fn decide(&mut self, obs: &BqObs) -> (usize, f32, f32, Tensor) {
         let version = self.store.version();
         if self.infer_cache.as_ref().map(|(v, _)| *v) != Some(version) {
             self.infer_cache = Some((version, self.model.build_infer_cache(&self.store)));
@@ -629,7 +693,7 @@ impl BqSchedAgent {
             probs.argmax()
         };
         let log_prob = p[action].max(1e-12).ln();
-        (action, log_prob, value, p.to_vec())
+        (action, log_prob, value, probs)
     }
 
     /// Expand an entity/config action into the concrete per-query submissions
@@ -691,11 +755,11 @@ impl SchedulerPolicy for BqSchedAgent {
         let config_idx = action % k;
         if self.explore {
             self.decisions.push(PendingDecision {
-                obs: obs.clone(),
+                obs,
                 action,
                 log_prob,
                 value,
-                probs,
+                probs: probs.into_data(),
                 time: state.now,
             });
         }
@@ -1171,16 +1235,20 @@ mod tests {
         assert_eq!(log.len(), w.len());
     }
 
-    /// Observations captured at a few hand-built execution states with varying
-    /// running/pending splits.
+    /// Observations captured at a few hand-built execution states: all
+    /// pending, 3 and 9 queries running, and 15 finished with 3 running.
     fn sample_states(agent: &BqSchedAgent, w: &Workload) -> Vec<BqObs> {
         use bq_core::QueryRuntime;
         let mut out = Vec::new();
-        for n_running in [0usize, 3, 9] {
+        for (n_finished, n_running) in [(0usize, 0usize), (0, 3), (0, 9), (15, 3)] {
             let mut queries: Vec<QueryRuntime> =
                 (0..w.len()).map(|_| QueryRuntime::pending(1.0)).collect();
-            for q in queries.iter_mut().take(n_running) {
-                q.status = QueryStatus::Running;
+            for (i, q) in queries.iter_mut().take(n_finished + n_running).enumerate() {
+                q.status = if i < n_finished {
+                    QueryStatus::Finished
+                } else {
+                    QueryStatus::Running
+                };
                 q.params = Some(RunParams::default_config());
                 q.elapsed = 0.25 * n_running as f64;
             }
@@ -1195,37 +1263,109 @@ mod tests {
         out
     }
 
-    #[test]
-    fn infer_policy_matches_graph_evaluate_bitwise() {
-        // The tape-free decision path must produce bit-identical logits,
-        // values and therefore actions to the recorded graph pass the
-        // trainers replay — on both the attention and the plain backend.
-        let w = tiny_workload();
-        let profile = DbmsProfile::dbms_x();
-        for config in [fast_config(), fast_config().without_attention()] {
-            let agent = BqSchedAgent::new(&w, &profile, None, config);
-            let cache = agent.model.build_infer_cache(&agent.store);
-            for obs in sample_states(&agent, &w) {
-                let mut g = Graph::new();
-                let (logits_g, value_g) = agent.model.evaluate(&mut g, &agent.store, &obs);
-                let (logits_i, value_i) =
-                    agent.model.infer_policy(&agent.store, &obs, &cache, true);
-                assert_eq!(g.value(logits_g).shape(), logits_i.shape());
-                for (a, b) in g.value(logits_g).data().iter().zip(logits_i.data()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "logits drifted");
+    /// Check [`BqSchedModel::infer_policy`] against the recorded pass on
+    /// `obs` and return whether it pruned rows: entities with an open action
+    /// keep bitwise logits, fully masked ones are exactly `MASK_VALUE` when
+    /// pruned (bitwise the graph's otherwise), and the value, the whole
+    /// softmax vector and the argmax are bitwise the graph's.
+    fn assert_infer_matches_graph(agent: &BqSchedAgent, obs: &BqObs) -> bool {
+        let cache = agent.model.build_infer_cache(&agent.store);
+        let mut g = Graph::new();
+        let (logits_g, value_g) = agent.model.evaluate(&mut g, &agent.store, obs);
+        let (logits_i, value_i) = agent.model.infer_policy(&agent.store, obs, &cache, true);
+        let logits_g = g.value(logits_g);
+        assert_eq!(logits_g.shape(), logits_i.shape());
+        let pruned =
+            agent.model.use_attention && agent.model.pruned_rows(&agent.store, obs).is_some();
+        let k = agent.model.num_configs();
+        for (e, entries) in obs.mask.chunks_exact(k).enumerate() {
+            let closed = entries.iter().all(|&m| m == MASK_VALUE);
+            for c in e * k..(e + 1) * k {
+                let (a, b) = (logits_g.get(0, c), logits_i.get(0, c));
+                if closed && pruned {
+                    assert_eq!(b.to_bits(), MASK_VALUE.to_bits(), "pruned logit {c}");
+                } else {
+                    assert_eq!(a.to_bits(), b.to_bits(), "logit {c} of entity {e} drifted");
                 }
-                assert_eq!(
-                    g.value(value_g).item().to_bits(),
-                    value_i.to_bits(),
-                    "value drifted"
-                );
-                // Identical logits imply identical greedy actions.
-                assert_eq!(
-                    g.value(logits_g).softmax_rows().argmax(),
-                    logits_i.softmax_rows().argmax()
-                );
             }
         }
+        assert_eq!(
+            g.value(value_g).item().to_bits(),
+            value_i.to_bits(),
+            "value drifted"
+        );
+        let (probs_g, probs_i) = (logits_g.softmax_rows(), logits_i.softmax_rows());
+        for (c, (a, b)) in probs_g.data().iter().zip(probs_i.data()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "probability {c} drifted");
+        }
+        assert_eq!(probs_g.argmax(), probs_i.argmax());
+        pruned
+    }
+
+    #[test]
+    fn infer_policy_matches_graph_evaluate_bitwise() {
+        // The tape-free decision path must give bit-identical probabilities,
+        // values and therefore actions to the recorded graph pass the
+        // trainers replay — on the attention and the plain backend, at query
+        // and cluster level, with and without masked-row pruning.
+        let w = tiny_workload();
+        let profile = DbmsProfile::dbms_x();
+        let history = collect_history(&mut FifoScheduler::new(), &w, &profile, 2, 0);
+        let configs = [
+            fast_config(),
+            fast_config().with_clusters(6),
+            fast_config().without_attention(),
+        ];
+        for config in configs {
+            let agent = BqSchedAgent::new(&w, &profile, Some(&history), config);
+            let pruned: Vec<bool> = sample_states(&agent, &w)
+                .iter()
+                .map(|obs| assert_infer_matches_graph(&agent, obs))
+                .collect();
+            assert!(!pruned[0], "an all-pending state has nothing to prune");
+            assert_eq!(
+                pruned.iter().any(|&p| p),
+                agent.model.use_attention,
+                "pruning engages exactly on the attention backend: {pruned:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn infer_policy_falls_back_when_pruning_would_not_be_exact() {
+        let w = tiny_workload();
+        let profile = DbmsProfile::dbms_x();
+        let mut agent = BqSchedAgent::new(&w, &profile, None, fast_config());
+        let obs = sample_states(&agent, &w).remove(2);
+        assert!(agent.model.pruned_rows(&agent.store, &obs).is_some());
+
+        // Every action masked: nothing is kept, every row is computed.
+        let mut all_masked = obs.clone();
+        all_masked.mask.iter_mut().for_each(|m| *m = MASK_VALUE);
+        assert!(agent.model.pruned_rows(&agent.store, &all_masked).is_none());
+        assert!(!assert_infer_matches_graph(&agent, &all_masked));
+
+        // Output weights so large that masked logits leave MASK_VALUE and the
+        // bound passes 1e6: the guard must fall back to the full pass.
+        let weight = agent
+            .store
+            .iter()
+            .find(|(_, p)| p.name == "agent.policy.1.weight")
+            .map(|(id, _)| id)
+            .expect("policy output weight");
+        let scaled = agent.store.value(weight).scale(1e7);
+        agent.store.get_mut(weight).value = scaled;
+        let bound = agent
+            .model
+            .policy_head
+            .output_layer()
+            .unit_input_bound(&agent.store);
+        assert!(bound > MAX_PRUNED_LOGIT_BOUND, "bound {bound}");
+        let mut g = Graph::new();
+        let (logits_g, _) = agent.model.evaluate(&mut g, &agent.store, &obs);
+        let closed = obs.mask.iter().position(|&m| m == MASK_VALUE).unwrap();
+        assert_ne!(g.value(logits_g).get(0, closed), MASK_VALUE);
+        assert!(!assert_infer_matches_graph(&agent, &obs));
     }
 
     #[test]

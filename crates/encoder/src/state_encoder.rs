@@ -268,11 +268,19 @@ impl StateEncoder {
     /// broadcast matmuls — but no graph nodes are allocated and parameter
     /// values are read by reference instead of being cloned into leaves.
     /// Returns `(per_query, global)` as plain tensors.
+    ///
+    /// `rows` names the entities whose `x''_i` to produce, in the order
+    /// given (`None`: all of them); `per_query` then has one row per entry,
+    /// each bitwise the same row of the full pass. Earlier blocks run on
+    /// every row; the last block reads every row as keys and values but
+    /// computes only the named rows plus the super query, and the query
+    /// head runs on the named rows only. `global` does not depend on `rows`.
     pub fn infer(
         &self,
         store: &ParamStore,
         obs: &EncodedObservation,
         cache: &StateEncoderInferCache,
+        rows: Option<&[usize]>,
     ) -> (Tensor, Tensor) {
         let n = obs.len();
         assert!(n > 0, "cannot encode an empty observation");
@@ -291,13 +299,21 @@ impl StateEncoder {
         let x_in = obs.plan_embs.concat_cols(&obs.features);
         let x = self.input_proj.infer(store, &x_in);
 
-        // Append the super query and run the attention blocks.
+        // Append the super query and run the attention blocks; the last one
+        // produces only the kept rows and the super query (row `n`).
+        let kept: Option<Vec<usize>> = rows.map(|rows| rows.iter().copied().chain([n]).collect());
         let mut h = x.concat_rows(store.value(self.super_query));
-        for (block, bcache) in self.blocks.iter().zip(&cache.blocks) {
-            h = block.infer(store, &h, None, bcache);
+        let n_blocks = self.blocks.len();
+        for (i, (block, bcache)) in self.blocks.iter().zip(&cache.blocks).enumerate() {
+            let out_rows = kept.as_deref().filter(|_| i + 1 == n_blocks);
+            h = block.infer(store, &h, None, bcache, out_rows);
         }
-        let x_q = h.slice_rows(0, n);
-        let x_s = h.slice_rows(n, 1);
+        if let (0, Some(kept)) = (n_blocks, &kept) {
+            h = h.select_rows(kept);
+        }
+        let m = h.rows() - 1;
+        let x_q = h.slice_rows(0, m);
+        let x_s = h.slice_rows(m, 1);
 
         // Global representation x''_s = MLP(x'_s ∥ pooled features of all queries).
         let all_indices: Vec<usize> = (0..n).collect();
@@ -307,7 +323,7 @@ impl StateEncoder {
 
         // Per-query representation x''_i = MLP(x'_i ∥ x'_s ∥ pooled features of
         // the concurrently running queries).
-        let ones = Tensor::full(n, 1, 1.0);
+        let ones = Tensor::full(m, 1, 1.0);
         let x_s_bcast = ones.matmul(&x_s);
         let pooled_running_row = mean_features(&obs.features, &obs.running);
         let pooled_running = ones.matmul(&pooled_running_row);
@@ -432,13 +448,30 @@ mod tests {
             let mut g = Graph::new();
             let repr = enc.forward(&mut g, &store, &obs);
             let cache = enc.build_infer_cache(&store);
-            let (per_query, global) = enc.infer(&store, &obs, &cache);
+            let (per_query, global) = enc.infer(&store, &obs, &cache, None);
             assert_eq!(g.value(repr.per_query).shape(), per_query.shape());
             for (a, b) in g.value(repr.per_query).data().iter().zip(per_query.data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "per-query repr drifted");
             }
             for (a, b) in g.value(repr.global).data().iter().zip(global.data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "global repr drifted");
+            }
+            // A subset of the rows is exactly those rows of the full pass.
+            let rows: Vec<usize> = (n_running..obs.len()).step_by(2).collect();
+            let (kept, global_kept) = enc.infer(&store, &obs, &cache, Some(&rows));
+            assert_eq!(kept.shape(), (rows.len(), enc.dim()));
+            for (r, &i) in rows.iter().enumerate() {
+                for (a, b) in g
+                    .value(repr.per_query)
+                    .row_slice(i)
+                    .iter()
+                    .zip(kept.row_slice(r))
+                {
+                    assert_eq!(a.to_bits(), b.to_bits(), "kept row {i} drifted");
+                }
+            }
+            for (a, b) in global.data().iter().zip(global_kept.data()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "pruning moved the global repr");
             }
         }
     }

@@ -114,6 +114,21 @@ impl Linear {
         let h = h.add_row_broadcast(store.value(self.bias));
         self.activation.apply_tensor(h)
     }
+
+    /// The largest `|(x W + b)_c|` over inputs whose every entry lies in
+    /// `[-1, 1]` (the output of a tanh layer): `max_c(|b_c| + Σ_j |W_jc|)`.
+    /// NaN if a parameter is NaN.
+    pub fn unit_input_bound(&self, store: &ParamStore) -> f32 {
+        let (w, b) = (store.value(self.weight), store.value(self.bias));
+        let mut bound = 0.0f32;
+        for c in 0..self.out_dim {
+            let col = (0..self.in_dim).fold(b.get(0, c).abs(), |s, j| s + w.get(j, c).abs());
+            if col > bound || col.is_nan() {
+                bound = col;
+            }
+        }
+        bound
+    }
 }
 
 /// A multilayer perceptron: a stack of [`Linear`] layers.
@@ -169,6 +184,11 @@ impl Mlp {
     /// Output dimensionality.
     pub fn out_dim(&self) -> usize {
         self.layers.last().map(Linear::out_dim).unwrap_or(0)
+    }
+
+    /// The final layer.
+    pub fn output_layer(&self) -> &Linear {
+        self.layers.last().expect("an MLP has at least one layer")
     }
 
     /// Record the forward pass.
@@ -407,16 +427,34 @@ impl MultiHeadAttention {
     /// Bitwise identical to [`Self::forward`]: the fused matmul computes each
     /// head's projection columns with the same per-column accumulation order,
     /// and everything after the slice reuses the exact per-head arithmetic.
+    ///
+    /// `rows` names the query rows to produce (`None`: all of them, in
+    /// order). Keys and values always span every row of `x`; the queries,
+    /// scores, softmax, `attn · V` and output projection run on the named
+    /// rows only. Every one of those steps is row-local, so output row `r`
+    /// is bitwise the row `rows[r]` of the full pass.
     pub fn infer(
         &self,
         store: &ParamStore,
         x: &Tensor,
         bias: Option<&Tensor>,
         cache: &AttentionInferCache,
+        rows: Option<&[usize]>,
     ) -> Tensor {
         debug_assert_eq!(x.cols(), self.dim, "attention infer width mismatch");
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let q_all = x.matmul(&cache.wq);
+        let q_all = match rows {
+            Some(rows) => x.select_rows(rows).matmul(&cache.wq),
+            None => x.matmul(&cache.wq),
+        };
+        let picked;
+        let bias = match (bias, rows) {
+            (Some(b), Some(rows)) => {
+                picked = b.select_rows(rows);
+                Some(&picked)
+            }
+            (b, _) => b,
+        };
         let k_all = x.matmul(&cache.wk);
         let v_all = x.matmul(&cache.wv);
         let mut head_outputs: Option<Tensor> = None;
@@ -512,15 +550,23 @@ impl AttentionBlock {
     }
 
     /// Tape-free forward pass of the block; see [`MultiHeadAttention::infer`].
+    ///
+    /// `rows` names the output rows to produce (`None`: all). Attention
+    /// still reads every row of `x` as keys and values; the residuals, norms
+    /// and feed-forward layers are row-local and run on the named rows only.
     pub fn infer(
         &self,
         store: &ParamStore,
         x: &Tensor,
         bias: Option<&Tensor>,
         cache: &AttentionInferCache,
+        rows: Option<&[usize]>,
     ) -> Tensor {
-        let attn = self.attention.infer(store, x, bias, cache);
-        let residual = x.add(&attn);
+        let attn = self.attention.infer(store, x, bias, cache, rows);
+        let residual = match rows {
+            Some(rows) => x.select_rows(rows).add(&attn),
+            None => x.add(&attn),
+        };
         let x1 = self.norm1.infer(store, &residual);
         let h = self.ff1.infer(store, &x1);
         let h = self.ff2.infer(store, &h);
@@ -700,10 +746,28 @@ mod tests {
             let xi = g.input(x.clone());
             let y_graph = block.forward(&mut g, &store, xi, b);
             let cache = block.build_infer_cache(&store);
-            let y_infer = block.infer(&store, &x, b, &cache);
+            let y_infer = block.infer(&store, &x, b, &cache, None);
             assert_eq!(g.value(y_graph).shape(), y_infer.shape());
             for (a, c) in g.value(y_graph).data().iter().zip(y_infer.data()) {
                 assert_eq!(a.to_bits(), c.to_bits(), "attention block drifted");
+            }
+            // Producing a subset of the rows gives exactly those rows.
+            let rows = [1, 4, 5];
+            let y_rows = block.infer(&store, &x, b, &cache, Some(&rows));
+            assert_eq!(y_rows.shape(), (rows.len(), 8));
+            for (r, &i) in rows.iter().enumerate() {
+                for (a, c) in g
+                    .value(y_graph)
+                    .row_slice(i)
+                    .iter()
+                    .zip(y_rows.row_slice(r))
+                {
+                    assert_eq!(
+                        a.to_bits(),
+                        c.to_bits(),
+                        "row {i} of a pruned block drifted"
+                    );
+                }
             }
         }
 

@@ -150,6 +150,11 @@ impl Tensor {
         &self.data
     }
 
+    /// The flat row-major data, without copying it.
+    pub fn into_data(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Mutable access to the flat row-major data.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
@@ -187,25 +192,46 @@ impl Tensor {
     }
 
     /// Matrix multiplication `self @ other`.
+    ///
+    /// Every output element is `0.0 + a_0·b_0 + a_1·b_1 + …` summed over `k`
+    /// in ascending order, skipping the terms whose left factor `a_k` is zero
+    /// (so a zero hides an `inf` or `NaN` behind it). The kernel keeps a
+    /// block of 16, 8, 4 or 1 output columns of one row in registers while it
+    /// walks `k`; blocking changes which columns share a pass, never the
+    /// sequence of adds an element sees, so the result does not depend on
+    /// the blocking or on which other columns sit in `other`.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} @ {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Tensor::zeros(self.rows, other.cols);
-        // i-k-j loop order for row-major locality.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let crow = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for j in 0..other.cols {
-                    crow[j] += a * orow[j];
-                }
+        let width = other.cols;
+        let mut out = Tensor::zeros(self.rows, width);
+        if width == 0 {
+            return out;
+        }
+        for (arow, crow) in self
+            .data
+            .chunks_exact(self.cols.max(1))
+            .zip(out.data.chunks_exact_mut(width))
+        {
+            let mut j = 0;
+            while j + 16 <= width {
+                matmul_block::<16>(arow, &other.data, width, j, crow);
+                j += 16;
+            }
+            if j + 8 <= width {
+                matmul_block::<8>(arow, &other.data, width, j, crow);
+                j += 8;
+            }
+            if j + 4 <= width {
+                matmul_block::<4>(arow, &other.data, width, j, crow);
+                j += 4;
+            }
+            while j < width {
+                matmul_block::<1>(arow, &other.data, width, j, crow);
+                j += 1;
             }
         }
         out
@@ -470,6 +496,31 @@ impl Tensor {
     }
 }
 
+/// Columns `j..j + W` of one output row of [`Tensor::matmul`]: `arow` is the
+/// left row, `b` the right matrix (row-major, `b_cols` wide), `crow` the
+/// output row. The `W` partial sums live in a local array for the whole `k`
+/// walk and are stored once.
+#[inline(always)]
+fn matmul_block<const W: usize>(
+    arow: &[f32],
+    b: &[f32],
+    b_cols: usize,
+    j: usize,
+    crow: &mut [f32],
+) {
+    let mut acc = [0.0f32; W];
+    for (k, &a) in arow.iter().enumerate() {
+        if a == 0.0 {
+            continue;
+        }
+        let brow = &b[k * b_cols + j..k * b_cols + j + W];
+        for (s, &bv) in acc.iter_mut().zip(brow) {
+            *s += a * bv;
+        }
+    }
+    crow[j..j + W].copy_from_slice(&acc);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,6 +553,86 @@ mod tests {
         let c = a.matmul(&b);
         assert_eq!(c.shape(), (2, 2));
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
+    }
+
+    /// The plain i-k-j loop with the zero skip: the reference the blocked
+    /// kernel must reproduce bit for bit.
+    fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.rows, b.cols);
+        for i in 0..a.rows {
+            for k in 0..a.cols {
+                let x = a.get(i, k);
+                if x == 0.0 {
+                    continue;
+                }
+                for j in 0..b.cols {
+                    let v = out.get(i, j) + x * b.get(k, j);
+                    out.set(i, j, v);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn blocked_matmul_matches_naive_reference_bitwise() {
+        // Widths 1..=40 and 100 run every 16/8/4/1 remainder path. Column 2
+        // of the left operand is all zeros (+0.0 and -0.0) while row 2 of the
+        // right one holds inf, -inf and NaN: the skip must hide them. Other
+        // entries include -0.0 and a mix of magnitudes so rounding differs
+        // with the order of the adds.
+        let mut state = 0x2545_f491_u32;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state
+        };
+        let mut value = move |zero_every: u32| {
+            let r = next();
+            match r % zero_every {
+                0 => 0.0,
+                1 => -0.0,
+                _ => (r >> 8) as f32 / (1u32 << 20) as f32 * if r & 1 == 0 { 1.0 } else { -1e-3 },
+            }
+        };
+        for rows in [1, 7, 100] {
+            for inner in [1, 3, 16, 33] {
+                for width in (1..=40).chain([100]) {
+                    let mut a = Tensor::from_vec(
+                        rows,
+                        inner,
+                        (0..rows * inner).map(|_| value(5)).collect(),
+                    );
+                    let mut b = Tensor::from_vec(
+                        inner,
+                        width,
+                        (0..inner * width).map(|_| value(7)).collect(),
+                    );
+                    if inner > 2 {
+                        for i in 0..rows {
+                            a.set(i, 2, if i % 2 == 0 { 0.0 } else { -0.0 });
+                        }
+                        for j in 0..width {
+                            b.set(2, j, [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][j % 3]);
+                        }
+                    }
+                    let got = a.matmul(&b);
+                    let want = naive_matmul(&a, &b);
+                    assert_eq!(got.shape(), want.shape());
+                    for (x, y) in got.data().iter().zip(want.data()) {
+                        assert_eq!(
+                            x.to_bits(),
+                            y.to_bits(),
+                            "{rows}x{inner} @ {inner}x{width}: {x} vs {y}"
+                        );
+                    }
+                    if inner > 2 {
+                        assert!(got.all_finite(), "a zero left factor leaked inf/NaN");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
